@@ -16,8 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# go vet plus formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -32,12 +35,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Disabled|AtomicLoadBaseline|NilTracer' -benchmem ./internal/metrics/ ./internal/tracing/ ./internal/flightrec/ ./internal/accuracy/
 	$(GO) test -run '^$$' -bench 'StatementRecorder|StatementLedger' -benchmem ./internal/engine/
 
-# Columnar execution smoke: a small rowwise-vs-vectorized sweep through the
+# Columnar execution smoke: a small chunk-size × workers sweep through the
 # real jitsbench harness. The sweep itself cross-checks every configuration's
-# result fingerprints and simulated cost against the rowwise serial baseline,
-# so this doubles as a differential proof on real hardware. CI runs this
-# target; for the full before/after numbers see results/ and run
-# `jitsbench -exp columnar -scale 1.0`.
+# result fingerprints and simulated cost against the baseline (4096-row
+# chunks, one worker), so this doubles as a differential proof on real
+# hardware. CI runs this target; run `jitsbench -exp columnar -scale 1.0`
+# for full-scale numbers (results/columnar.csv is the historical record of
+# the row-at-a-time executor this engine no longer has).
 bench-columnar:
 	$(GO) run ./cmd/jitsbench -exp columnar -scale 0.004 -queries 60 -sample 800
 

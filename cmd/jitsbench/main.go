@@ -31,11 +31,11 @@
 // exposition after the experiments finish. Both are off by default and cost
 // one atomic load per probe when off.
 //
-// The "columnar" experiment sweeps execution mode (rowwise baseline vs
-// vectorized) × storage chunk size (-chunks picks the sizes) × worker count
-// over the same query stream, cross-checking every configuration's results
-// and simulated cost against the rowwise serial baseline, and writes
-// columnar.csv under -csv. It replays the stream once per configuration, so
+// The "columnar" experiment sweeps storage chunk size (-chunks picks the
+// sizes) × worker count over the same query stream, cross-checking every
+// configuration's results and simulated cost against the baseline — the
+// default 4096-row chunks at one worker — and writes columnar.csv under
+// -csv. It replays the stream once per configuration, so
 // it is wall-clock heavy and excluded from "all"; run it explicitly.
 //
 // The "overload" experiment sweeps client concurrency against a governed
@@ -92,6 +92,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
+	"repro/internal/storage"
 )
 
 func main() {
@@ -117,7 +118,7 @@ func main() {
 		faultsF  = flag.String("net-faults", "", `arm wire fault injection for -serve, e.g. "conn.reset:every=200;conn.latency:every=20,latency=2ms"`)
 		drainF   = flag.Duration("drain", 30*time.Second, "graceful-drain budget for -serve on SIGINT/SIGTERM")
 		everyF   = flag.String("fault-every", "0,29,83", "comma-separated fault periods for -exp serve-chaos (0 = fault-free baseline)")
-		chunksF  = flag.String("chunks", "", "comma-separated vectorized chunk sizes for -exp columnar (default 256,1024,4096,16384; the rowwise baseline always runs first)")
+		chunksF  = flag.String("chunks", "", "comma-separated chunk sizes for -exp columnar (default 256,1024,16384; the 4096-row baseline always runs first)")
 	)
 	flag.Parse()
 	// JITS_FAULTS arms process-wide fault injection for experiment runs —
@@ -525,47 +526,45 @@ func parallelSpeedup(opts experiments.Options) error {
 }
 
 func columnarSweep(opts experiments.Options, chunksSpec string) error {
-	header("Columnar execution: rowwise baseline vs vectorized chunks")
+	header("Columnar execution: chunk size × workers")
 	fmt.Printf("host: %d CPU(s), GOMAXPROCS=%d\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	workers := []int{1, 4}
 	if opts.Parallelism > 1 && opts.Parallelism != 4 {
 		workers = append(workers, opts.Parallelism)
 	}
-	var configs []experiments.ColumnarConfig // nil = the default sweep
+	var chunks []int // nil = the default sweep
 	if chunksSpec != "" {
-		configs = []experiments.ColumnarConfig{{RowOriented: true}}
+		chunks = []int{storage.DefaultChunkSize}
 		for _, f := range strings.Split(chunksSpec, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n <= 0 {
 				return fmt.Errorf("bad -chunks entry %q", f)
 			}
-			configs = append(configs, experiments.ColumnarConfig{ChunkSize: n})
+			if n != storage.DefaultChunkSize {
+				chunks = append(chunks, n)
+			}
 		}
 	}
-	rows, err := experiments.ColumnarSweep(opts, configs, workers)
+	rows, err := experiments.ColumnarSweep(opts, chunks, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-11s %10s %8s %12s %9s %15s %8s\n",
-		"mode", "chunk", "workers", "wall (s)", "speedup", "simulated (s)", "queries")
+	fmt.Printf("%10s %8s %12s %9s %15s %8s\n",
+		"chunk", "workers", "wall (s)", "speedup", "simulated (s)", "queries")
 	var csvRows [][]string
 	for _, r := range rows {
-		chunk := "-"
-		if r.Mode == "vectorized" {
-			chunk = strconv.Itoa(r.ChunkSize)
-		}
-		fmt.Printf("%-11s %10s %8d %12.3f %8.2fx %15.4f %8d\n",
-			r.Mode, chunk, r.Workers, r.WallSeconds, r.Speedup, r.SimSeconds, r.Queries)
+		fmt.Printf("%10d %8d %12.3f %8.2fx %15.4f %8d\n",
+			r.ChunkSize, r.Workers, r.WallSeconds, r.Speedup, r.SimSeconds, r.Queries)
 		csvRows = append(csvRows, []string{
-			r.Mode, strconv.Itoa(r.ChunkSize), strconv.Itoa(r.Workers),
+			strconv.Itoa(r.ChunkSize), strconv.Itoa(r.Workers),
 			f64(r.WallSeconds), f64(r.Speedup), f64(r.SimSeconds), strconv.Itoa(r.Queries),
 		})
 	}
-	writeCSV("columnar.csv", []string{"mode", "chunk_size", "workers", "wall_s", "speedup", "simulated_s", "queries"}, csvRows)
+	writeCSV("columnar.csv", []string{"chunk_size", "workers", "wall_s", "speedup", "simulated_s", "queries"}, csvRows)
 	fmt.Println("\nevery configuration replays the identical query stream with identical")
-	fmt.Println("results and identical simulated cost; the vectorized rows should beat the")
-	fmt.Println("rowwise baseline on wall clock, and chunk size trades locality against")
-	fmt.Println("selection-vector overhead")
+	fmt.Println("results and identical simulated cost; chunk size trades locality against")
+	fmt.Println("selection-vector overhead, and speedup is relative to 4096-row chunks at")
+	fmt.Println("one worker")
 	return nil
 }
 

@@ -136,11 +136,11 @@ type StatAccuracy struct {
 	Table           string    `json:"table"` // owning table
 	State           string    `json:"state"` // fresh | aging | drifted
 	Observations    uint64    `json:"observations"`
-	EWMAQError      float64   `json:"ewma_qerror"`  // time-decayed mean q-error
-	EWMALogEF       float64   `json:"ewma_log_ef"`  // time-decayed mean |log error-factor|
-	CUSUM           float64   `json:"cusum"`        // accumulated drift evidence
-	ChurnSinceMerge int64     `json:"churn_rows"`   // DML rows since last merge
-	LastMerge       int64     `json:"last_merge"`   // logical tick of last merge (or first tracking)
+	EWMAQError      float64   `json:"ewma_qerror"` // time-decayed mean q-error
+	EWMALogEF       float64   `json:"ewma_log_ef"` // time-decayed mean |log error-factor|
+	CUSUM           float64   `json:"cusum"`       // accumulated drift evidence
+	ChurnSinceMerge int64     `json:"churn_rows"`  // DML rows since last merge
+	LastMerge       int64     `json:"last_merge"`  // logical tick of last merge (or first tracking)
 	LastObserved    int64     `json:"last_observed"`
 	Merges          uint64    `json:"merges"`
 	DriftedAt       int64     `json:"drifted_at"` // tick of the drift transition, 0 if never

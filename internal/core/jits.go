@@ -14,8 +14,8 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/govern"
 	"repro/internal/index"
-	"repro/internal/qgm"
 	"repro/internal/metrics"
+	"repro/internal/qgm"
 	"repro/internal/sampling"
 	"repro/internal/storage"
 	"repro/internal/tracing"

@@ -71,14 +71,19 @@ func diffResults(serial, parallel *engine.Result) string {
 }
 
 // TestDifferentialSerialVsParallel replays the paper workload — queries and
-// update batches, JITS enabled — through a serial and a parallel engine and
-// requires identical rows, plans and metered work on every query.
+// update batches, JITS enabled — through a serial engine on default chunks
+// and a parallel engine on 64-row chunks, and requires identical rows,
+// plans and metered work on every query. The tiny chunks force every query
+// across many chunk boundaries, exercising the selection-vector and fused-
+// aggregation paths where they could diverge, so the pair pins chunk
+// geometry as well as parallelism: neither may show in results or in the
+// cost model.
 func TestDifferentialSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential workload replay is slow")
 	}
-	mkEngine := func(dop int) (*engine.Engine, *workload.Dataset) {
-		cfg := engine.Config{Parallelism: dop}
+	mkEngine := func(dop, chunkSize int) (*engine.Engine, *workload.Dataset) {
+		cfg := engine.Config{Parallelism: dop, StorageChunkSize: chunkSize}
 		cfg.JITS.Enabled = true
 		cfg.JITS.SMax = 0.5
 		cfg.JITS.SampleSize = 800
@@ -90,8 +95,8 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 		}
 		return e, d
 	}
-	serialE, d := mkEngine(1)
-	parallelE, _ := mkEngine(4)
+	serialE, d := mkEngine(1, 0)
+	parallelE, _ := mkEngine(4, 64)
 
 	stmts := d.Workload(220, 99, true)
 	queries := 0

@@ -102,11 +102,6 @@ type Config struct {
 	// restore bumps the epoch and invalidates every cached plan, so a plan
 	// compiled against pre-update statistics is never reused afterwards.
 	PlanCacheSize int
-	// RowOrientedExec forces the executor's legacy row-at-a-time scan and
-	// aggregation paths instead of the vectorized chunk kernels. Results
-	// and metered work are identical; only wall-clock differs. It exists
-	// as the benchmark baseline and differential-testing foil.
-	RowOrientedExec bool
 	// StorageChunkSize overrides the rows-per-chunk capacity of the
 	// columnar storage layer for tables created by this engine; 0 keeps
 	// storage.DefaultChunkSize. Benchmarks sweep it.
@@ -183,7 +178,6 @@ type Engine struct {
 	accuracy     *accuracy.Ledger
 	governor     *govern.Governor
 	parallelism  int
-	rowOriented  bool
 	reoptCfg     ReoptConfig
 	stmtTimeout  time.Duration
 	closed       atomic.Bool
@@ -249,7 +243,6 @@ func New(cfg Config) *Engine {
 		accuracy:     ledger,
 		governor:     governor,
 		parallelism:  cfg.Parallelism,
-		rowOriented:  cfg.RowOrientedExec,
 		reoptCfg:     cfg.Reopt,
 		stmtTimeout:  cfg.StatementTimeout,
 		planCache:    plancache.New(cfg.PlanCacheSize),
@@ -712,6 +705,16 @@ func analyzeAnnotator(stats *executor.ExecStats, prep *core.PrepareReport) optim
 	}
 }
 
+// newRuntime builds the executor environment of one execution: a subquery
+// block, a statement's main block, or a plan-cache hit. All three go
+// through here so they cannot drift apart.
+func (e *Engine) newRuntime(ctx context.Context, meter *costmodel.Meter, dop int, stats *executor.ExecStats, mem *govern.Reservation, reopt *executor.ReoptState) *executor.Runtime {
+	return &executor.Runtime{
+		DB: e.db, Indexes: e.indexes, Weights: e.weights, Meter: meter,
+		Ctx: ctx, Parallelism: dop, Stats: stats, Mem: mem, Reopt: reopt,
+	}
+}
+
 // execSelect runs the SELECT pipeline in one of three modes. modeExplain
 // compiles — including any JITS statistics collection, whose cost shows up
 // in the metrics — but does not execute: the result carries the plan text as
@@ -810,8 +813,7 @@ func (e *Engine) execSelect(ctx context.Context, stmt *sqlparser.SelectStmt, sql
 		if mode == modeExplain {
 			continue
 		}
-		rt := &executor.Runtime{DB: e.db, Indexes: e.indexes, Weights: e.weights, Meter: &execMeter, Ctx: ctx, Parallelism: dop, Stats: stats, Mem: mem, RowOriented: e.rowOriented}
-		innerRes, err := executor.Execute(inner, innerPlan, rt)
+		innerRes, err := executor.Execute(inner, innerPlan, e.newRuntime(ctx, &execMeter, dop, stats, mem, nil))
 		if err != nil {
 			optSpan.End()
 			return nil, err
@@ -869,7 +871,7 @@ func (e *Engine) execSelect(ctx context.Context, stmt *sqlparser.SelectStmt, sql
 
 	execSpan := e.tracer.Start(ts, tracing.PhaseExecute)
 	reoptState := e.newReoptState(blk)
-	rt := &executor.Runtime{DB: e.db, Indexes: e.indexes, Weights: e.weights, Meter: &execMeter, Ctx: ctx, Parallelism: dop, Stats: stats, Mem: mem, RowOriented: e.rowOriented, Reopt: reoptState}
+	rt := e.newRuntime(ctx, &execMeter, dop, stats, mem, reoptState)
 	res, plan, reopts, err := e.executeWithReopt(blk, plan, rt, octx, reoptState, ts, rec, nil)
 	if err != nil {
 		execSpan.End()

@@ -131,16 +131,33 @@ func TestDebugReadsDuringCloseLeakNothing(t *testing.T) {
 // TestCancelledParallelQueryLeaksNoGoroutines cancels queries mid-flight —
 // with injected morsel latency so workers are genuinely asleep when the
 // deadline lands — and verifies the worker pools drain completely: the
-// goroutine count settles back to the pre-query level.
+// goroutine count settles back to the pre-query level. The dop-1 case
+// checks that serial execution reaches the same fault points and
+// cancellation checks, one work unit per operator.
 func TestCancelledParallelQueryLeaksNoGoroutines(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dop  int
+		jits bool
+	}{
+		{"dop8-jits", 8, true},
+		{"dop1-nojits", 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := engine.Config{Parallelism: c.dop}
+			cfg.JITS.Enabled = c.jits
+			cfg.JITS.SMax = 0.5
+			cfg.JITS.SampleSize = 400
+			cfg.JITS.Seed = 3
+			cancelledQueriesLeakNoGoroutines(t, cfg)
+		})
+	}
+}
+
+func cancelledQueriesLeakNoGoroutines(t *testing.T, cfg engine.Config) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	cfg := engine.Config{Parallelism: 8}
-	cfg.JITS.Enabled = true
-	cfg.JITS.SMax = 0.5
-	cfg.JITS.SampleSize = 400
-	cfg.JITS.Seed = 3
 	e := engine.New(cfg)
 	d, err := workload.Load(e, workload.Spec{Scale: 0.002, Seed: 42})
 	if err != nil {
@@ -168,9 +185,10 @@ func TestCancelledParallelQueryLeaksNoGoroutines(t *testing.T) {
 		}
 		cancel()
 	}
+	slept := faultinject.Fired(faultinject.MorselLatency)
 	faultinject.Reset()
-	if cancelled == 0 {
-		t.Fatal("no query was cancelled — the leak check tested nothing")
+	if cancelled == 0 || slept == 0 {
+		t.Fatalf("%d queries cancelled, %d morsel sleeps — the leak check tested nothing", cancelled, slept)
 	}
 
 	// Pools drain synchronously before Exec returns, but give the runtime a

@@ -55,7 +55,7 @@ func (e *Engine) execCachedSelect(ctx context.Context, key string, ent *cachedPl
 	}
 	execSpan := e.tracer.Start(ts, tracing.PhaseExecute)
 	reoptState := e.newReoptState(ent.blk)
-	rt := &executor.Runtime{DB: e.db, Indexes: e.indexes, Weights: e.weights, Meter: &execMeter, Ctx: ctx, Parallelism: dop, Stats: stats, Mem: mem, Reopt: reoptState}
+	rt := e.newRuntime(ctx, &execMeter, dop, stats, mem, reoptState)
 	octx := &optimizer.Context{
 		Est:     &optimizer.Estimator{Cat: e.cat},
 		Indexes: e.indexes,

@@ -38,19 +38,20 @@ type Runtime struct {
 	Weights costmodel.Weights
 	Meter   *costmodel.Meter
 	// Ctx carries the statement's deadline/cancellation; nil behaves like
-	// context.Background(). Operators check it at morsel boundaries, so a
-	// cancelled statement stops within one morsel of work per worker.
+	// context.Background(). Operators check it before every work unit and
+	// scans also at every chunk, so a cancelled statement stops within one
+	// chunk or morsel of work per worker.
 	Ctx context.Context
 	// Parallelism is the degree of intra-query parallelism: the number of
-	// workers scans, hash joins and grouped aggregation may fan out to.
-	// Values <= 1 select the serial operators, which reproduce the paper's
-	// cost numbers exactly; higher values dispatch morsels to a worker pool
-	// while charging the meter the identical totals (the simulated work is
-	// the same — only the wall clock shrinks).
+	// workers the morsel operators fan out to. Values <= 1 run each
+	// operator as one work unit on the calling goroutine; higher values
+	// dispatch morsels to a worker pool. The meter is charged the same
+	// totals at any value (the simulated work is the same — only the wall
+	// clock shrinks).
 	Parallelism int
-	// MorselSize overrides the number of rows per morsel; 0 selects
-	// DefaultMorselSize. Tests shrink it to exercise multi-morsel paths on
-	// small tables.
+	// MorselSize overrides the number of rows per morsel at Parallelism > 1;
+	// 0 selects DefaultMorselSize. Tests shrink it to exercise multi-morsel
+	// paths on small tables.
 	MorselSize int
 	// Stats, when non-nil, collects per-plan-node runtime actuals (rows,
 	// metered units, wall time) for EXPLAIN ANALYZE. Leave nil on the
@@ -70,12 +71,6 @@ type Runtime struct {
 	// resolves optimizer.Materialized leaves on re-planned attempts. Nil
 	// (the default) costs one pointer check per pipeline breaker.
 	Reopt *ReoptState
-	// RowOriented forces the legacy row-at-a-time scan and aggregation paths
-	// instead of the vectorized chunk kernels. Results are identical and the
-	// meter charges are identical; only wall-clock differs. It exists as the
-	// benchmark baseline ("before" mode) and as a differential-testing foil
-	// for the vectorized operators.
-	RowOriented bool
 }
 
 // dop returns the effective degree of parallelism (always >= 1).
@@ -85,10 +80,6 @@ func (rt *Runtime) dop() int {
 	}
 	return rt.Parallelism
 }
-
-// ctx returns the statement context (possibly nil; callers treat nil as
-// background).
-func (rt *Runtime) ctx() context.Context { return rt.Ctx }
 
 // ctxErr reports the statement context's cancellation error, if any.
 func (rt *Runtime) ctxErr() error {
@@ -220,8 +211,8 @@ func (r *relation) col(slot, ordinal int) int { return r.offsets[slot] + ordinal
 // Execute runs the plan and applies the block's finishing operators.
 //
 // Execute never panics: any panic in an operator — a malformed plan hitting
-// a Datum accessor, a comparator blowing up inside a parallel sort worker,
-// an injected fault — is recovered (the parallel pools drain first, so no
+// a Datum accessor, a comparator blowing up inside a sort worker, an
+// injected fault — is recovered (the worker pools drain first, so no
 // goroutine outlives the call) and returned as an error.
 func Execute(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Result, err error) {
 	defer func() {
@@ -237,7 +228,7 @@ func Execute(blk *qgm.Block, plan optimizer.Node, rt *Runtime) (res *Result, err
 	// vectors feed group state directly, with no materialized relation in
 	// between. Meter charges are formula-identical to the unfused pipeline.
 	if scan, fusable := plan.(*optimizer.Scan); fusable &&
-		scan.IndexColumn == "" && !rt.RowOriented && blockAggregates(blk) {
+		scan.IndexColumn == "" && blockAggregates(blk) {
 		res, err = ex.runFusedAggScan(scan)
 		if err != nil {
 			return nil, err
@@ -344,23 +335,19 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 	}
 	base := float64(snap.NumRows())
 	examined := 0.0
-	// The vectorized paths charge the reservation per chunk with exact
-	// column-array sizes as they materialize; the row-oriented and index
-	// paths keep the historical per-row estimate charged at the end.
-	grown := false
 
 	if n.IndexColumn != "" {
 		ix, ok := ex.rt.Indexes.Find(n.Table, n.IndexColumn)
 		if !ok {
 			return nil, fmt.Errorf("executor: plan uses missing index %s.%s", n.Table, n.IndexColumn)
 		}
-		positions, err := indexPositions(ix, *n.IndexPred)
+		positions, isnap, err := indexPositions(ix, *n.IndexPred)
 		if err != nil {
 			return nil, err
 		}
 		ex.rt.charge(w.IndexProbe)
 		for _, pos := range positions {
-			row, err := snap.Row(pos)
+			row, err := isnap.Row(pos)
 			if err != nil {
 				return nil, err
 			}
@@ -370,51 +357,19 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 			}
 		}
 		ex.rt.charge(w.IndexRow * examined)
-	} else if ex.rt.dop() > 1 && snap.NumRows() > ex.rt.morselSize() {
-		rows, exam, err := ex.parallelSeqScan(snap, n.Preds)
-		if err != nil {
-			return nil, err
-		}
-		rel.rows, examined = rows, exam
-		grown = !ex.rt.RowOriented
-		ex.rt.charge(w.SeqRow * examined)
-	} else if ex.rt.RowOriented {
-		// Legacy serial scan: decode every row, evaluate Matches row by row.
-		// Cancellation is honored every morselSize rows, the same granularity
-		// the parallel path checks at.
-		checkEvery := ex.rt.morselSize()
-		var scanErr error
-		snap.Scan(func(_ int, row []value.Datum) bool {
-			if int(examined)%checkEvery == 0 {
-				if scanErr = ex.rt.ctxErr(); scanErr != nil {
-					return false
-				}
-			}
-			examined++
-			if matchesAll(n.Preds, row) {
-				rel.rows = append(rel.rows, row)
-			}
-			return true
-		})
-		ex.rt.charge(w.SeqRow * examined)
-		if scanErr != nil {
-			return nil, scanErr
-		}
-	} else {
-		rows, exam, scanErr := ex.serialVectorScan(snap, n.Preds)
-		rel.rows, examined = rows, exam
-		grown = true
-		ex.rt.charge(w.SeqRow * examined)
-		if scanErr != nil {
-			return nil, scanErr
-		}
-	}
-	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-	if !grown {
+		// Index fetches charge the reservation a per-row estimate; the
+		// sequential scan charges exact bytes per chunk as it materializes.
 		if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
 			return nil, fmt.Errorf("executor: scan %s output: %w", n.Table, err)
 		}
+	} else {
+		rel.rows, examined, err = ex.seqScan(snap, n.Preds)
+		if err != nil {
+			return nil, err
+		}
+		ex.rt.charge(w.SeqRow * examined)
 	}
+	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
 
 	if len(n.Preds) > 0 {
 		ex.actuals = append(ex.actuals, ScanActual{
@@ -426,75 +381,33 @@ func (ex *executor) runScan(n *optimizer.Scan) (*relation, error) {
 	return rel, nil
 }
 
-// serialVectorScan runs the vectorized filter chunk by chunk over the
-// snapshot: build the selection vector on the dense column arrays, then
-// materialize only the surviving rows. The reservation is charged per chunk
-// with the exact bytes of the materialized rows. Cancellation is checked at
-// chunk boundaries.
-func (ex *executor) serialVectorScan(snap *storage.Snapshot, preds []qgm.Predicate) ([][]value.Datum, float64, error) {
-	f := compileFilter(preds, snap.Schema())
-	needBytes := ex.rt.Mem != nil
-	var out [][]value.Datum
-	examined := 0
-	var scanErr error
-	var sel []int
-	snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, _, clo, chi int) bool {
-		if scanErr = ex.rt.ctxErr(); scanErr != nil {
-			return false
-		}
-		examined += chi - clo
-		sel = f.selectRange(ch, clo, chi, sel)
-		if len(sel) == 0 {
-			return true
-		}
-		var bytes int64
-		for _, i := range sel {
-			row := ch.AppendRowTo(make([]value.Datum, 0, ch.NumCols()), i)
-			out = append(out, row)
-			if needBytes {
-				bytes += govern.ExactRowBytes(row)
-			}
-		}
-		if needBytes {
-			if err := ex.rt.grow(bytes); err != nil {
-				scanErr = fmt.Errorf("executor: scan %s output: %w", snap.Name(), err)
-				return false
-			}
-		}
-		return true
-	})
-	return out, float64(examined), scanErr
-}
-
-// indexPositions converts a sargable predicate into an index range scan.
-func indexPositions(ix *index.Index, p qgm.Predicate) ([]int, error) {
+// indexPositions converts a sargable predicate into an index range scan,
+// returning the matching positions and the snapshot they are row numbers of.
+func indexPositions(ix *index.Index, p qgm.Predicate) ([]int, *storage.Snapshot, error) {
+	lo, hi := index.Unbounded(), index.Unbounded()
 	switch p.Op {
 	case qgm.OpEQ:
-		return ix.Lookup(p.Value), nil
+		if p.Value.IsNull() {
+			return nil, nil, nil // NULL equals nothing
+		}
+		lo = index.Bound{Value: p.Value, Inclusive: true}
+		hi = lo
 	case qgm.OpLT:
-		return ix.Range(index.Unbounded(), index.Bound{Value: p.Value}), nil
+		hi = index.Bound{Value: p.Value}
 	case qgm.OpLE:
-		return ix.Range(index.Unbounded(), index.Bound{Value: p.Value, Inclusive: true}), nil
+		hi = index.Bound{Value: p.Value, Inclusive: true}
 	case qgm.OpGT:
-		return ix.Range(index.Bound{Value: p.Value}, index.Unbounded()), nil
+		lo = index.Bound{Value: p.Value}
 	case qgm.OpGE:
-		return ix.Range(index.Bound{Value: p.Value, Inclusive: true}, index.Unbounded()), nil
+		lo = index.Bound{Value: p.Value, Inclusive: true}
 	case qgm.OpBetween:
-		return ix.Range(index.Bound{Value: p.Lo, Inclusive: true}, index.Bound{Value: p.Hi, Inclusive: true}), nil
+		lo = index.Bound{Value: p.Lo, Inclusive: true}
+		hi = index.Bound{Value: p.Hi, Inclusive: true}
 	default:
-		return nil, fmt.Errorf("executor: predicate %s is not sargable", p)
+		return nil, nil, fmt.Errorf("executor: predicate %s is not sargable", p)
 	}
-}
-
-// joinKey encodes the join-column values of a row; NULL keys return ok=false
-// (SQL: NULL joins nothing). Numerics are normalized so int 5 joins float
-// 5.0. Batch loops use appendJoinKeyTo directly to reuse one buffer.
-func joinKey(row []value.Datum, cols []int) (string, bool) {
-	buf, ok := appendJoinKeyTo(make([]byte, 0, 16*len(cols)), row, cols)
-	if !ok {
-		return "", false
-	}
-	return string(buf), true
+	positions, snap := ix.RangeAt(lo, hi)
+	return positions, snap, nil
 }
 
 func mergedRelation(left, right *relation) *relation {
@@ -567,41 +480,11 @@ func (ex *executor) runHashJoin(n *optimizer.Join) (*relation, error) {
 		return nil, fmt.Errorf("executor: hash join build: %w", err)
 	}
 
-	if ex.rt.dop() > 1 && len(left.rows)+len(right.rows) > ex.rt.morselSize() {
-		if err := ex.parallelHashJoin(left, right, rel, lCols, rCols); err != nil {
-			return nil, err
-		}
-		ex.rt.charge(w.HashBuild * float64(len(left.rows)))
-		ex.rt.charge(w.HashProbe * float64(len(right.rows)))
-		ex.rt.charge(w.RowOut * float64(len(rel.rows)))
-		if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
-			return nil, fmt.Errorf("executor: hash join output: %w", err)
-		}
-		return rel, nil
-	}
-
-	// Serial build and probe compute keys batch-wise into one reused buffer;
-	// only keys actually inserted into the build table allocate.
-	var kb []byte
-	table := make(map[string][]int, len(left.rows))
-	for i, row := range left.rows {
-		var ok bool
-		if kb, ok = appendJoinKeyTo(kb[:0], row, lCols); ok {
-			key := string(kb)
-			table[key] = append(table[key], i)
-		}
+	rel.rows, err = ex.hashJoin(left, right, lCols, rCols)
+	if err != nil {
+		return nil, err
 	}
 	ex.rt.charge(w.HashBuild * float64(len(left.rows)))
-
-	for _, rrow := range right.rows {
-		var ok bool
-		if kb, ok = appendJoinKeyTo(kb[:0], rrow, rCols); !ok {
-			continue
-		}
-		for _, li := range table[string(kb)] {
-			rel.rows = append(rel.rows, concatRows(left.rows[li], rrow))
-		}
-	}
 	ex.rt.charge(w.HashProbe * float64(len(right.rows)))
 	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
 	if err := ex.rt.growRows(len(rel.rows), rel.width); err != nil {
@@ -627,9 +510,7 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 		return nil, err
 	}
 	w := ex.rt.Weights
-	// One snapshot serves every probe into the inner table.
-	snap := tbl.Snapshot()
-	width := snap.Schema().NumColumns()
+	width := tbl.Schema().NumColumns()
 	rightRel := &relation{
 		offsets: map[int]int{inner.Slot: 0},
 		widths:  map[int]int{inner.Slot: width},
@@ -655,49 +536,17 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 		return nil, fmt.Errorf("executor: no usable index for NL join into %s", inner.Table)
 	}
 
-	examined, matched := 0.0, 0.0
-	if ex.rt.dop() > 1 && len(left.rows) > ex.rt.morselSize() {
-		rows, exam, match, err := ex.parallelIndexNLProbe(left, inner, snap, ix, driving, n.Preds)
-		if err != nil {
-			return nil, err
-		}
-		rel.rows, examined, matched = rows, exam, match
-		ex.rt.charge(w.IndexProbe * float64(len(left.rows)))
-	} else {
-		for _, lrow := range left.rows {
-			ex.rt.charge(w.IndexProbe)
-			key := lrow[left.col(driving.LeftSlot, driving.LeftOrd)]
-			if key.IsNull() {
-				continue
-			}
-			for _, pos := range ix.Lookup(key) {
-				irow, err := snap.Row(pos)
-				if err != nil {
-					return nil, err
-				}
-				examined++
-				if !matchesAll(inner.Preds, irow) {
-					continue
-				}
-				matched++
-				// Residual join predicates.
-				okRow := true
-				for i := range n.Preds {
-					jp := n.Preds[i]
-					if jp == *driving {
-						continue
-					}
-					lv := lrow[left.col(jp.LeftSlot, jp.LeftOrd)]
-					if !lv.Equal(irow[jp.RightOrd]) {
-						okRow = false
-						break
-					}
-				}
-				if okRow {
-					rel.rows = append(rel.rows, concatRows(lrow, irow))
-				}
-			}
-		}
+	out, err := ex.indexNLProbe(left, inner, ix, driving, n.Preds)
+	if err != nil {
+		return nil, err
+	}
+	rel.rows = out.rows
+	examined, matched := float64(out.examined), float64(out.matched)
+	// Charged per left row, not as one product: float sums round
+	// differently, and per-row charges are what the committed simulated
+	// seconds were measured with.
+	for range left.rows {
+		ex.rt.charge(w.IndexProbe)
 	}
 	ex.rt.charge(w.IndexRow * examined)
 	ex.rt.charge(w.RowOut * float64(len(rel.rows)))
@@ -708,7 +557,7 @@ func (ex *executor) runIndexNLJoin(n *optimizer.Join) (*relation, error) {
 	if len(inner.Preds) > 0 {
 		ex.actuals = append(ex.actuals, ScanActual{
 			Slot: inner.Slot, Table: inner.Table, Alias: inner.Alias,
-			BaseRows: float64(snap.NumRows()), Examined: examined, Matched: matched,
+			BaseRows: float64(tbl.RowCount()), Examined: examined, Matched: matched,
 			Conditioned: true,
 			Trace:       inner.Tr,
 		})
@@ -961,7 +810,7 @@ type aggState struct {
 }
 
 // merge folds another partial state for the same group and projection into
-// st; the parallel aggregation path combines per-worker partials with it.
+// st; aggregation combines per-unit partials with it.
 func (st *aggState) merge(other *aggState) {
 	st.count += other.count
 	st.countCol += other.countCol
@@ -982,11 +831,11 @@ type group struct {
 	aggs []aggState
 }
 
-// groupAccumulator builds grouped aggregation state row by row. The serial
-// path runs one accumulator over the whole input; the parallel path runs one
-// per morsel and merges them in morsel order, which preserves the serial
-// first-appearance group order. The fused agg-scan absorbs selected chunk
-// rows directly (absorbChunk) without materializing the relation.
+// groupAccumulator builds grouped aggregation state row by row. Each work
+// unit runs one accumulator (a single one over the whole input at dop 1);
+// units merge in unit order, which preserves the first-appearance group
+// order. The fused agg-scan absorbs selected chunk rows directly
+// (absorbChunk) without materializing the relation.
 type groupAccumulator struct {
 	blk    *qgm.Block
 	rel    *relation
@@ -1089,20 +938,17 @@ func (ga *groupAccumulator) mergeFrom(other *groupAccumulator) {
 }
 
 func (ex *executor) aggregate(rel *relation) (*Result, error) {
-	var ga *groupAccumulator
-	if ex.rt.dop() > 1 && len(rel.rows) > ex.rt.morselSize() {
-		var err error
-		ga, err = ex.parallelAggregate(rel)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ga = newGroupAccumulator(ex.blk, rel)
-		for _, row := range rel.rows {
+	units, err := runUnits(ex.rt, len(rel.rows), func(lo, hi int) (unit, error) {
+		ga := newGroupAccumulator(ex.blk, rel)
+		for _, row := range rel.rows[lo:hi] {
 			ga.absorbRow(row)
 		}
+		return unit{ga: ga}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return ex.aggregateFinish(ga, len(rel.rows))
+	return ex.aggregateFinish(ex.mergeGroups(units, rel), len(rel.rows))
 }
 
 // aggregateFinish turns accumulated group state into the result rows,
@@ -1280,10 +1126,8 @@ func (ex *executor) orderResult(res *Result) error {
 		}
 		return false
 	}
-	if ex.rt.dop() > 1 && n > ex.rt.morselSize() {
-		parallelStableSort(res.Rows, ex.rt.dop(), less)
-	} else {
-		sort.SliceStable(res.Rows, func(i, j int) bool { return less(res.Rows[i], res.Rows[j]) })
+	if err := ex.stableSort(res.Rows, less); err != nil {
+		return fmt.Errorf("executor: ORDER BY sort: %w", err)
 	}
 
 	// Strip hidden sort columns.

@@ -12,7 +12,6 @@ package executor
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -54,33 +53,19 @@ func (ex *executor) runFusedAggScan(n *optimizer.Scan) (*Result, error) {
 		widths:  map[int]int{n.Slot: width},
 		width:   width,
 	}
-	f := compileFilter(n.Preds, snap.Schema())
-
-	var ga *groupAccumulator
-	var examined, matched int64
-	if ex.rt.dop() > 1 && snap.NumRows() > ex.rt.morselSize() {
-		ga, examined, matched, err = ex.parallelFusedAgg(snap, rel, f)
-		if err != nil {
-			return nil, err
+	units, err := ex.scanUnits(snap, compileFilter(n.Preds, snap.Schema()), func(u *unit, ch *storage.Chunk, sel []int) error {
+		if u.ga == nil {
+			u.ga = newGroupAccumulator(ex.blk, rel)
 		}
-	} else {
-		ga = newGroupAccumulator(ex.blk, rel)
-		var sel []int
-		var scanErr error
-		snap.Range(0, snap.NumRows(), func(ch *storage.Chunk, _, clo, chi int) bool {
-			if scanErr = ex.rt.ctxErr(); scanErr != nil {
-				return false
-			}
-			examined += int64(chi - clo)
-			sel = f.selectRange(ch, clo, chi, sel)
-			matched += int64(len(sel))
-			ga.absorbChunk(ch, sel)
-			return true
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
+		u.ga.absorbChunk(ch, sel)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	ga := ex.mergeGroups(units, rel)
+	counts := gather(units)
+	examined, matched := counts.examined, counts.matched
 
 	ex.rt.charge(w.SeqRow * float64(examined))
 	ex.rt.charge(w.RowOut * float64(matched))
@@ -103,46 +88,4 @@ func (ex *executor) runFusedAggScan(n *optimizer.Scan) (*Result, error) {
 		})
 	}
 	return ex.aggregateFinish(ga, int(matched))
-}
-
-// parallelFusedAgg fans the fused scan over morsels: each worker filters
-// its chunk sub-ranges and absorbs survivors into a per-morsel partial
-// accumulator; partials merge in morsel order, preserving the serial
-// first-appearance group order (float SUM/AVG may round differently, as
-// with the unfused parallel aggregate).
-func (ex *executor) parallelFusedAgg(snap *storage.Snapshot, rel *relation, f *chunkFilter) (*groupAccumulator, int64, int64, error) {
-	sz := ex.rt.morselSize()
-	n := snap.NumRows()
-	partials := make([]*groupAccumulator, morselCount(n, sz))
-	var examined, matched atomic.Int64
-	err := runMorsels(ex.rt.ctx(), n, ex.rt.dop(), sz, func(m, lo, hi int) error {
-		if err := faultinject.Hit(faultinject.StorageScan); err != nil {
-			return err
-		}
-		ga := newGroupAccumulator(ex.blk, rel)
-		var sel []int
-		cnt, match := 0, 0
-		snap.Range(lo, hi, func(ch *storage.Chunk, _, clo, chi int) bool {
-			cnt += chi - clo
-			sel = f.selectRange(ch, clo, chi, sel)
-			match += len(sel)
-			ga.absorbChunk(ch, sel)
-			return true
-		})
-		partials[m] = ga
-		examined.Add(int64(cnt))
-		matched.Add(int64(match))
-		return nil
-	})
-	if err != nil {
-		return nil, examined.Load(), matched.Load(), err
-	}
-	if len(partials) == 0 {
-		return newGroupAccumulator(ex.blk, rel), 0, 0, nil
-	}
-	out := partials[0]
-	for _, p := range partials[1:] {
-		out.mergeFrom(p)
-	}
-	return out, examined.Load(), matched.Load(), nil
 }

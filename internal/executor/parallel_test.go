@@ -1,15 +1,15 @@
 package executor
 
 import (
-	"context"
 	"fmt"
-	"sync"
+	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/optimizer"
 	"repro/internal/qgm"
 	"repro/internal/sqlparser"
+	"repro/internal/value"
 )
 
 // runSQLWith optimizes and executes one SELECT under the given Runtime
@@ -144,33 +144,6 @@ func TestParallelActualsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestRunMorselsCoversAllRows exercises the scheduler directly: every index
-// in [0, n) must be visited exactly once for a spread of sizes and dops,
-// including n smaller than one morsel and dop exceeding the morsel count.
-func TestRunMorselsCoversAllRows(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 16, 17, 1000} {
-		for _, dop := range []int{1, 2, 7, 32} {
-			var mu sync.Mutex
-			seen := make([]int, n)
-			if err := runMorsels(context.Background(), n, dop, 16, func(m, lo, hi int) error {
-				mu.Lock()
-				defer mu.Unlock()
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-				return nil
-			}); err != nil {
-				t.Fatalf("n=%d dop=%d: %v", n, dop, err)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d dop=%d: index %d visited %d times", n, dop, i, c)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelAggregateGroupOrder pins the first-appearance group-order
 // guarantee: with no ORDER BY, the parallel aggregation must emit groups in
 // the same order the serial accumulator discovers them (row order).
@@ -183,6 +156,33 @@ func TestParallelAggregateGroupOrder(t *testing.T) {
 		if serial.Rows[i][0].Str() != par.Rows[i][0].Str() {
 			t.Fatalf("group order diverged at %d: %v vs %v (serial %v, parallel %v)",
 				i, serial.Rows[i][0], par.Rows[i][0], serial.Rows, par.Rows)
+		}
+	}
+}
+
+// TestStableSortMatchesSliceStable: ORDER BY splits large inputs into one
+// run per worker and merges them pairwise. With few distinct keys (many
+// ties) and run counts that are odd, even and one, the result must be
+// sort.SliceStable's order exactly.
+func TestStableSortMatchesSliceStable(t *testing.T) {
+	less := func(a, b []value.Datum) bool { return a[0].Int() < b[0].Int() }
+	for _, n := range []int{0, 1, 1500, 5000} {
+		for _, dop := range []int{1, 2, 3, 4, 8} {
+			rows := make([][]value.Datum, n)
+			for i := range rows {
+				rows[i] = []value.Datum{value.NewInt(int64((i * 7919) % 13)), value.NewInt(int64(i))}
+			}
+			want := append([][]value.Datum(nil), rows...)
+			sort.SliceStable(want, func(i, j int) bool { return less(want[i], want[j]) })
+			ex := &executor{rt: &Runtime{Parallelism: dop}}
+			if err := ex.stableSort(rows, less); err != nil {
+				t.Fatal(err)
+			}
+			for i := range rows {
+				if rows[i][1].Int() != want[i][1].Int() {
+					t.Fatalf("n=%d dop=%d: row %d is input row %d, want %d", n, dop, i, rows[i][1].Int(), want[i][1].Int())
+				}
+			}
 		}
 	}
 }

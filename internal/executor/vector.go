@@ -241,10 +241,9 @@ func (f *chunkFilter) selectRange(ch *storage.Chunk, lo, hi int, sel []int) []in
 }
 
 // appendJoinKeyTo appends the encoded join key for row's cols, returning
-// ok=false on a NULL key column (SQL: NULL joins nothing). The encoding is
-// byte-identical to the historical fmt-based joinKey — "n<float>|" for
-// numerics (normalized so int 5 joins float 5.0), "s<str>|" for strings —
-// but appends into a reusable buffer instead of allocating a Builder.
+// ok=false on a NULL key column (SQL: NULL joins nothing). Numerics encode
+// as "n<float>|" (normalized so int 5 joins float 5.0), strings as
+// "s<str>|", appended into a reusable buffer.
 func appendJoinKeyTo(buf []byte, row []value.Datum, cols []int) ([]byte, bool) {
 	for _, c := range cols {
 		d := row[c]

@@ -6,72 +6,54 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
 // ColumnarRow reports one execution configuration of the columnar sweep.
 type ColumnarRow struct {
-	Mode        string  // "rowwise" or "vectorized"
-	ChunkSize   int     // storage chunk size (0 = rowwise; chunks unused)
+	ChunkSize   int     // storage chunk size
 	Workers     int     // degree of intra-query parallelism
 	WallSeconds float64 // measured wall clock for the whole query stream
-	Speedup     float64 // rowwise dop-1 wall clock / this row's wall clock
+	Speedup     float64 // baseline wall clock / this row's wall clock
 	SimSeconds  float64 // simulated cost-model total — identical in every row
 	Queries     int
 }
 
-// ColumnarConfig is one (mode, chunk size) point of the sweep.
-type ColumnarConfig struct {
-	RowOriented bool
-	ChunkSize   int // ignored when RowOriented
-}
-
-// DefaultColumnarConfigs sweeps the rowwise baseline against vectorized
-// execution at a spread of chunk sizes around the 4096-row default.
-func DefaultColumnarConfigs() []ColumnarConfig {
-	return []ColumnarConfig{
-		{RowOriented: true},
-		{ChunkSize: 256},
-		{ChunkSize: 1024},
-		{ChunkSize: 4096},
-		{ChunkSize: 16384},
-	}
+// DefaultColumnarChunks sweeps chunk sizes around the default, which comes
+// first: the default chunk size at dop 1 is the sweep's baseline.
+func DefaultColumnarChunks() []int {
+	return []int{storage.DefaultChunkSize, 256, 1024, 16384}
 }
 
 // ColumnarSweep replays the same JITS-enabled query stream through every
-// (mode, chunk size) × worker-count configuration and measures wall-clock
-// time. Like ParallelSpeedup, the sweep is also a differential harness:
-// every configuration must produce the same result fingerprints and the
-// same simulated cost-model seconds as the rowwise serial baseline —
-// vectorization and chunk geometry are wall-clock knobs, not semantics
-// knobs — and the function fails on any divergence.
-func ColumnarSweep(opts Options, configs []ColumnarConfig, workers []int) ([]ColumnarRow, error) {
-	if len(configs) == 0 {
-		configs = DefaultColumnarConfigs()
+// chunk size × worker-count configuration and measures wall-clock time.
+// Like ParallelSpeedup, the sweep is also a differential harness: every
+// configuration must produce the same result fingerprints and the same
+// simulated cost-model seconds as the baseline — the default chunk size at
+// dop 1 — because chunk geometry and parallelism are wall-clock knobs, not
+// semantics knobs, and the function fails on any divergence.
+func ColumnarSweep(opts Options, chunks []int, workers []int) ([]ColumnarRow, error) {
+	if len(chunks) == 0 {
+		chunks = DefaultColumnarChunks()
 	}
 	if len(workers) == 0 {
 		workers = []int{1, 4}
 	}
-	// The baseline must run first: rowwise, serial.
-	if !configs[0].RowOriented || workers[0] != 1 {
-		return nil, fmt.Errorf("experiments: columnar sweep needs rowwise/dop-1 first as baseline")
+	if chunks[0] != storage.DefaultChunkSize || workers[0] != 1 {
+		return nil, fmt.Errorf("experiments: columnar sweep needs chunk size %d at dop 1 first as baseline", storage.DefaultChunkSize)
 	}
 	var out []ColumnarRow
 	var baseline []string
 	var baselineSim float64
 	var baselineWall float64
-	for _, cc := range configs {
-		mode := "vectorized"
-		if cc.RowOriented {
-			mode = "rowwise"
-		}
+	for _, chunk := range chunks {
 		for _, dop := range workers {
 			cfg := engine.Config{
 				Parallelism:      dop,
 				JITS:             opts.jitsConfig(),
 				Trace:            opts.Trace,
-				RowOrientedExec:  cc.RowOriented,
-				StorageChunkSize: cc.ChunkSize,
+				StorageChunkSize: chunk,
 			}
 			e := opts.newEngine(cfg)
 			d, err := workload.Load(e, workload.Spec{Scale: opts.Scale, Seed: opts.Seed})
@@ -85,8 +67,8 @@ func ColumnarSweep(opts Options, configs []ColumnarConfig, workers []int) ([]Col
 			for _, s := range stmts {
 				res, err := e.Exec(s.SQL)
 				if err != nil {
-					return nil, fmt.Errorf("experiments: columnar %s/%d at dop %d, %q: %w",
-						mode, cc.ChunkSize, dop, s.SQL, err)
+					return nil, fmt.Errorf("experiments: columnar chunk %d at dop %d, %q: %w",
+						chunk, dop, s.SQL, err)
 				}
 				sim += res.Metrics.TotalSeconds
 				fingerprints = append(fingerprints, fingerprintResult(res))
@@ -98,17 +80,17 @@ func ColumnarSweep(opts Options, configs []ColumnarConfig, workers []int) ([]Col
 			} else {
 				for i := range fingerprints {
 					if fingerprints[i] != baseline[i] {
-						return nil, fmt.Errorf("experiments: columnar %s/%d dop %d diverged from rowwise serial on query %d (%s)",
-							mode, cc.ChunkSize, dop, i, stmts[i].SQL)
+						return nil, fmt.Errorf("experiments: columnar chunk %d dop %d diverged from the baseline on query %d (%s)",
+							chunk, dop, i, stmts[i].SQL)
 					}
 				}
 				if diff := math.Abs(sim - baselineSim); diff > 1e-6*(1+baselineSim) {
-					return nil, fmt.Errorf("experiments: columnar %s/%d dop %d simulated time %.6f != baseline %.6f",
-						mode, cc.ChunkSize, dop, sim, baselineSim)
+					return nil, fmt.Errorf("experiments: columnar chunk %d dop %d simulated time %.6f != baseline %.6f",
+						chunk, dop, sim, baselineSim)
 				}
 			}
 			row := ColumnarRow{
-				Mode: mode, ChunkSize: cc.ChunkSize, Workers: dop,
+				ChunkSize: chunk, Workers: dop,
 				WallSeconds: wall, SimSeconds: sim, Queries: len(stmts),
 			}
 			if first || wall <= 0 {

@@ -8,8 +8,9 @@
 //
 // An index is a sorted array of (key, row position) pairs rebuilt lazily
 // whenever the underlying table's version changes. Positions returned by a
-// lookup are valid only until the table's next mutation; the engine executes
-// statements one at a time, so that contract holds throughout a query.
+// lookup are row numbers of the table version the index was built from;
+// RangeAt returns a snapshot of that version with them. Read rows through
+// it: concurrent DML may have moved or added rows in the live table since.
 package index
 
 import (
@@ -59,22 +60,25 @@ func (ix *Index) Table() *storage.Table { return ix.table }
 // Column returns the indexed column name.
 func (ix *Index) Column() string { return ix.column }
 
-// Rebuilds reports how many times the index has been (re)built; the cost
-// model charges maintenance through this.
+// Rebuilds reports how many times the index has been (re)built. The cost
+// model does not read it and charges no index maintenance; it is a counter
+// for benchmarks and tests, which sum it over every index to count the
+// lazy full rebuilds that DML triggers.
 func (ix *Index) Rebuilds() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.rebuilds
 }
 
-// ensure rebuilds the sorted entries if the table changed. Caller must hold mu.
-func (ix *Index) ensure() {
+// ensure rebuilds the sorted entries if the table changed and returns a
+// snapshot of the version they index. Caller must hold mu.
+func (ix *Index) ensure() *storage.Snapshot {
 	// Version and rows come from one snapshot, so the recorded builtVersion
 	// always matches the data actually indexed (reading Version() and then
 	// scanning separately could attribute a newer version to older rows).
 	snap := ix.table.Snapshot()
 	if ix.built && snap.Version() == ix.builtVersion {
-		return
+		return snap
 	}
 	ix.entries = ix.entries[:0]
 	// Stream the indexed column's chunk vectors directly — the rebuild
@@ -98,6 +102,7 @@ func (ix *Index) ensure() {
 	ix.builtVersion = snap.Version()
 	ix.built = true
 	ix.rebuilds++
+	return snap
 }
 
 // Lookup returns the positions of all rows whose key equals key, in row
@@ -126,9 +131,17 @@ func (b Bound) IsUnbounded() bool { return b.open }
 // NULL keys are stored at the front of the index but are never returned:
 // SQL comparisons with NULL are not true.
 func (ix *Index) Range(lo, hi Bound) []int {
+	positions, _ := ix.RangeAt(lo, hi)
+	return positions
+}
+
+// RangeAt is Range plus the table snapshot the positions are row numbers
+// of. Rows read through it match the returned keys even when other
+// sessions have changed the table since.
+func (ix *Index) RangeAt(lo, hi Bound) ([]int, *storage.Snapshot) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.ensure()
+	snap := ix.ensure()
 
 	n := len(ix.entries)
 	// Rows with NULL keys occupy a prefix (NULL sorts first); skip them.
@@ -158,13 +171,13 @@ func (ix *Index) Range(lo, hi Bound) []int {
 		})
 	}
 	if start >= end {
-		return nil
+		return nil, snap
 	}
 	out := make([]int, 0, end-start)
 	for _, e := range ix.entries[start:end] {
 		out = append(out, e.row)
 	}
-	return out
+	return out, snap
 }
 
 // Len returns the number of indexed entries (including NULL keys).

@@ -323,3 +323,33 @@ func TestBatchInsertTriggersStalenessRebuild(t *testing.T) {
 		t.Fatalf("Rebuilds = %d after clean lookup, want %d", got, builds+1)
 	}
 }
+
+// TestRangeAtPairsPositionsWithTheirSnapshot: a reader that took its own
+// snapshot before another writer's insert gets positions past its image
+// from a lookup that rebuilds; RangeAt hands back the image those positions
+// index, and every position reads a row with the looked-up key there.
+func TestRangeAtPairsPositionsWithTheirSnapshot(t *testing.T) {
+	tbl := intTable(t, 7, 3, 7)
+	ix, err := New("ix", tbl, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := tbl.Snapshot()
+	if err := tbl.Insert([]value.Datum{value.NewInt(7), value.NewString("late")}); err != nil {
+		t.Fatal(err)
+	}
+	eq := Bound{Value: value.NewInt(7), Inclusive: true}
+	positions, snap := ix.RangeAt(eq, eq)
+	if len(positions) != 3 || positions[2] != early.NumRows() {
+		t.Fatalf("positions = %v, want the late row at %d last", positions, early.NumRows())
+	}
+	if _, err := early.Row(positions[2]); err == nil {
+		t.Fatal("the reader's own earlier snapshot should not hold the late row")
+	}
+	for _, pos := range positions {
+		row, err := snap.Row(pos)
+		if err != nil || row[0].Int() != 7 {
+			t.Fatalf("position %d in the returned snapshot: row %v, err %v", pos, row, err)
+		}
+	}
+}

@@ -13,12 +13,12 @@ package sampling
 
 import (
 	"context"
+	"errors"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/costmodel"
 	"repro/internal/faultinject"
+	"repro/internal/morsel"
 	"repro/internal/qgm"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -28,72 +28,22 @@ import (
 // parallel evaluation worker claims at a time.
 const evalMorselSize = 512
 
-// forEachChunk runs fn over [0, n) in fixed-size chunks across up to dop
-// workers, claiming chunks from an atomic cursor. fn must only write state
-// owned by its chunk. Serial (and deterministic in call order) at dop <= 1.
+// forEachChunk runs fn over [0, n) in fixed-size chunks on the morsel
+// scheduler, across up to dop workers. fn must only write state owned by
+// its chunk. Serial (and deterministic in call order) at dop <= 1.
 //
 // A panic inside fn (or an injected worker panic) stops the remaining
-// workers, is re-raised on the caller's goroutine after every worker has
-// exited, and never leaks a goroutine; JITS.Prepare recovers it into a
+// workers and is re-raised on the caller's goroutine, with its original
+// value, after every worker has exited; JITS.Prepare recovers it into a
 // degraded, catalog-fallback preparation.
 func forEachChunk(n, dop, chunkSize int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	run := func(lo, hi int) {
-		faultinject.SleepIf(faultinject.MorselLatency)
-		if err := faultinject.Hit(faultinject.WorkerPanic); err != nil {
-			panic(err)
-		}
+	err := morsel.Run(context.TODO(), n, dop, chunkSize, func(_, lo, hi int) error {
 		fn(lo, hi)
-	}
-	chunks := (n + chunkSize - 1) / chunkSize
-	if dop > chunks {
-		dop = chunks
-	}
-	if dop <= 1 {
-		for c := 0; c < chunks; c++ {
-			hi := (c + 1) * chunkSize
-			if hi > n {
-				hi = n
-			}
-			run(c*chunkSize, hi)
-		}
-		return
-	}
-	var (
-		cursor    atomic.Int64
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicVal  any
-	)
-	for w := 0; w < dop; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicOnce.Do(func() { panicVal = p })
-					stop.Store(true)
-				}
-			}()
-			for !stop.Load() {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				hi := (c + 1) * chunkSize
-				if hi > n {
-					hi = n
-				}
-				run(c*chunkSize, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+		return nil
+	})
+	var pe *morsel.PanicError
+	if errors.As(err, &pe) {
+		panic(pe.Value)
 	}
 }
 
